@@ -509,8 +509,9 @@ class ServeWorkload:
                                         f"revalidation status {status}")
                 elif self.failures.check(status == 200, f"hit status {status}"):
                     self.check_rows(cls, payload, [self.reference_rows[pool_index]])
-        except OSError as error:
-            self.failures.check(False, f"{cls} request: {error}")
+        except (OSError, ValueError, IndexError) as error:
+            # A refused connection or a garbled answer is a failed request.
+            self.failures.check(False, f"{cls} request: {error!r}")
             return None
         with self.lock:
             self.samples[cls].append(total)
@@ -673,10 +674,10 @@ def measure_rounds(load, seconds):
 
 def untraced(args, load, program):
     times, done = measure_rounds(load, args.seconds)
-    if isinstance(load, ServeWorkload):
-        load.verify_misses()
     metrics = {"wall_s": statistics.median(times), "requests_per_s": done / sum(times),
                "peak_rss_mb": program.peak_kb / 1024}
+    if isinstance(load, ServeWorkload):
+        load.verify_misses()  # a batch run of its own, after the peak is read
     return metrics, {"wall_s": len(times)}
 
 
