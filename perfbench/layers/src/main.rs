@@ -4,45 +4,58 @@
 //! and the engine in `pnoc-sim`, `pnoc-hier`, `pnoc-workload`, `pnoc-exec`,
 //! `pnoc-store` and the render/parse code of `pnoc-bench` — from this
 //! package's own code; nothing inside the program is instrumented. Every
-//! timed call is a span (name, layer, start, end, parent, workload, item)
-//! kept in memory and written as JSONL when the probe ends. The last stdout
+//! timed call is a span (name, layer, start and end — or busy time for a
+//! pool job — parent, workload, item) kept in memory and written as JSONL when the probe ends. The last stdout
 //! line is one JSON object: the layer metrics, the check counts, and the
-//! wall time of the traced in-process replay of the workload's round.
+//! wall times of the in-process replay of the workload's round, with spans
+//! recorded and with tracing off.
 //!
 //! ```text
 //! perfbench-layers --workload NAME --matrix-doc F --collectives-doc F
-//!     --bodies F --replay-doc F [--replay-cache DIR] --replay-out F
-//!     --work DIR --spans F
+//!     --bodies F --replay-doc F --replay-caches DIR --replay-pairs N
+//!     --replay-out F --work DIR --spans F
 //! ```
 
 use pnoc_bench::runner::ensure_registered;
 use pnoc_bench::scenario_io::{matrix_json, parse_scenarios};
 use pnoc_sim::metrics::JsonlSink;
 use pnoc_sim::scenario::{
-    engine_fingerprint, point_cache_key, run_specs, run_specs_with_cache, CacheStats, MatrixResult,
-    PointCache, ScenarioResult, ScenarioSpec,
+    engine_fingerprint, point_cache_key, run_specs_with_cache, MatrixResult, PointCache,
+    ScenarioSpec,
 };
-use pnoc_sim::sweep::{derive_point_seed, SaturationResult};
+use pnoc_sim::sweep::{derive_point_seed, SweepPoint};
 use pnoc_store::{codec, Json, ResultStore};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// One timed call. Times are seconds since the probe started.
+/// When a span ran: an interval on the probe thread (seconds since the
+/// probe started), or the busy time of a pool job, whose start the engine
+/// does not report.
+enum When {
+    Interval { start: f64, end: f64 },
+    Busy(f64),
+}
+
+/// One timed call.
 struct Span {
     name: String,
     layer: &'static str,
     item: String,
     parent: Option<usize>,
-    start: f64,
-    end: f64,
+    when: When,
+    /// Pool workers a batch span's jobs ran on.
+    workers: Option<usize>,
 }
 
 /// In-memory span recorder; spans nest by call order on the probe thread,
-/// and spans measured on pool workers are added with an explicit parent.
+/// and pool jobs are added under the open span. A disabled tracer records
+/// nothing and reads no clock: the replay's untraced side.
 struct Tracer {
+    enabled: bool,
     origin: Instant,
     workload: String,
     spans: Vec<Span>,
@@ -50,11 +63,22 @@ struct Tracer {
 }
 
 impl Tracer {
+    fn new(workload: &str, enabled: bool) -> Tracer {
+        Tracer {
+            enabled,
+            origin: Instant::now(),
+            workload: workload.to_string(),
+            spans: Vec::new(),
+            open: Vec::new(),
+        }
+    }
+
     fn now(&self) -> f64 {
         self.origin.elapsed().as_secs_f64()
     }
 
-    /// Runs `f` inside a span and returns its result and duration.
+    /// Runs `f` inside a span and returns its result and duration (0 when
+    /// the tracer is disabled).
     fn span<T>(
         &mut self,
         name: &str,
@@ -62,6 +86,9 @@ impl Tracer {
         item: &str,
         f: impl FnOnce(&mut Tracer) -> T,
     ) -> (T, f64) {
+        if !self.enabled {
+            return (f(self), 0.0);
+        }
         let id = self.spans.len();
         let start = self.now();
         self.spans.push(Span {
@@ -69,26 +96,26 @@ impl Tracer {
             layer,
             item: item.to_string(),
             parent: self.open.last().copied(),
-            start,
-            end: start,
+            when: When::Interval { start, end: start },
+            workers: None,
         });
         self.open.push(id);
         let value = f(self);
         self.open.pop();
         let end = self.now();
-        self.spans[id].end = end;
+        self.spans[id].when = When::Interval { start, end };
         (value, end - start)
     }
 
-    /// Adds a span measured elsewhere (a pool worker) under the open span.
-    fn record(&mut self, name: &str, layer: &'static str, item: &str, start: f64, end: f64) {
+    /// Adds a pool job of the batch span `batch` that was busy for `seconds`.
+    fn job(&mut self, batch: usize, name: &str, layer: &'static str, item: &str, seconds: f64) {
         self.spans.push(Span {
             name: name.to_string(),
             layer,
             item: item.to_string(),
-            parent: self.open.last().copied(),
-            start,
-            end,
+            parent: Some(batch),
+            when: When::Busy(seconds),
+            workers: None,
         });
     }
 
@@ -96,16 +123,21 @@ impl Tracer {
         let mut out = String::new();
         for (id, span) in self.spans.iter().enumerate() {
             let parent = span.parent.map_or("null".to_string(), |p| p.to_string());
+            let when = match span.when {
+                When::Interval { start, end } => format!("\"start\":{start:.9},\"end\":{end:.9}"),
+                When::Busy(seconds) => format!("\"busy\":{seconds:.9}"),
+            };
+            let workers = span
+                .workers
+                .map_or(String::new(), |n| format!(",\"workers\":{n}"));
             writeln!(
                 out,
                 "{{\"src\":\"layers\",\"id\":{id},\"parent\":{parent},\"name\":{},\"layer\":\"{}\",\
-                 \"workload\":{},\"item\":{},\"start\":{:.9},\"end\":{:.9}}}",
+                 \"workload\":{},\"item\":{},{when}{workers}}}",
                 quote(&span.name),
                 span.layer,
                 quote(&self.workload),
                 quote(&span.item),
-                span.start,
-                span.end
             )
             .expect("writing to a String cannot fail");
         }
@@ -167,7 +199,8 @@ struct Args {
     collectives_doc: PathBuf,
     bodies: PathBuf,
     replay_doc: PathBuf,
-    replay_cache: Option<PathBuf>,
+    replay_caches: PathBuf,
+    replay_pairs: usize,
     replay_out: PathBuf,
     work: PathBuf,
     spans: PathBuf,
@@ -183,18 +216,20 @@ fn parse_args() -> Result<Args, String> {
         let value = iter.next().ok_or_else(|| format!("{flag} needs a value"))?;
         values.insert(key.to_string(), value);
     }
-    let mut take = |key: &str| values.remove(key);
-    let mut need = |key: &str| take(key).ok_or_else(|| format!("missing --{key}"));
+    let mut need = |key: &str| values.remove(key).ok_or_else(|| format!("missing --{key}"));
     Ok(Args {
         workload: need("workload")?,
         matrix_doc: need("matrix-doc")?.into(),
         collectives_doc: need("collectives-doc")?.into(),
         bodies: need("bodies")?.into(),
         replay_doc: need("replay-doc")?.into(),
+        replay_caches: need("replay-caches")?.into(),
+        replay_pairs: need("replay-pairs")?
+            .parse()
+            .map_err(|e| format!("--replay-pairs: {e}"))?,
         replay_out: need("replay-out")?.into(),
         work: need("work")?.into(),
         spans: need("spans")?.into(),
-        replay_cache: take("replay-cache").map(PathBuf::from),
     })
 }
 
@@ -254,32 +289,72 @@ fn collective_label(spec: &ScenarioSpec) -> String {
     }
 }
 
-/// Runs single-scenario jobs as one `pnoc-exec` batch, one span per job
-/// under a batch span. Returns each job's result and busy seconds, and the
-/// batch wall time.
-fn run_jobs(
+/// A cache that never hits and keeps the engine's own wall time of every
+/// point job it is offered, by cache key: per-point times of the program's
+/// real ladder path, with the program's point seeds.
+#[derive(Default)]
+struct PointTimes(Mutex<BTreeMap<String, f64>>);
+
+impl PointCache for PointTimes {
+    fn lookup(&self, _key: &str) -> Option<SweepPoint> {
+        None
+    }
+
+    fn store(&self, key: &str, _point: &SweepPoint, wall_clock_seconds: f64) {
+        self.0
+            .lock()
+            .expect("point times lock")
+            .insert(key.to_string(), wall_clock_seconds);
+    }
+}
+
+/// Runs `specs` through `run_specs_with_cache`, as `repro` does for a
+/// batch, under one batch span with a job span per point. Returns the result,
+/// each scenario's point times in ladder order, and the batch wall time.
+fn run_timed(
     tracer: &mut Tracer,
-    batch_name: &str,
+    checks: &mut Checks,
     specs: &[ScenarioSpec],
-    items: &[String],
-) -> (Vec<(MatrixResult, f64)>, f64) {
-    let origin = tracer.origin;
-    let (outcome, wall) = tracer.span(batch_name, "pnoc-exec", "", |tracer| {
-        let timed = pnoc_exec::run_batch(specs, |_, spec| {
-            let start = origin.elapsed().as_secs_f64();
-            let result = run_specs(std::slice::from_ref(spec)).expect("probe spec resolves");
-            (result, start, origin.elapsed().as_secs_f64())
-        });
-        timed
-            .into_iter()
-            .zip(specs.iter().zip(items))
-            .map(|((result, start, end), (spec, item))| {
-                tracer.record("run_specs", engine_layer(spec), item, start, end);
-                (result, end - start)
-            })
-            .collect::<Vec<_>>()
+) -> (MatrixResult, Vec<Vec<f64>>, f64) {
+    let times = PointTimes::default();
+    let ((result, batch), wall) = tracer.span("run_specs_with_cache", "pnoc-exec", "", |tracer| {
+        let result = run_specs_with_cache(specs, Some(&times)).expect("probe specs run");
+        (result, *tracer.open.last().expect("the batch span is open"))
     });
-    (outcome, wall)
+    let times = times.0.into_inner().expect("point times lock");
+    let fingerprint = engine_fingerprint();
+    let per_scenario: Vec<Vec<f64>> = result
+        .scenarios
+        .iter()
+        .map(|scenario| {
+            let id = scenario
+                .spec
+                .resolve()
+                .expect("probe spec resolves")
+                .canonical_id();
+            scenario
+                .spec
+                .loads()
+                .into_iter()
+                .zip(&scenario.point_seeds)
+                .map(|(load, &seed)| {
+                    let key = point_cache_key(&id, seed, load, &fingerprint);
+                    let seconds = times.get(&key).copied();
+                    checks.expect(seconds.is_some(), &format!("point {key} was timed"));
+                    seconds.unwrap_or(0.0)
+                })
+                .collect()
+        })
+        .collect();
+    let points = per_scenario.iter().map(Vec::len).sum();
+    tracer.spans[batch].workers = Some(pnoc_exec::resolve_worker_limit(points));
+    for (spec, point_times) in specs.iter().zip(&per_scenario) {
+        for (index, &busy) in point_times.iter().enumerate() {
+            let item = format!("{}#load{index}", spec.id());
+            tracer.job(batch, "point", engine_layer(spec), &item, busy);
+        }
+    }
+    (result, per_scenario, wall)
 }
 
 type Metrics = BTreeMap<String, f64>;
@@ -339,40 +414,34 @@ fn probe_planning(
     metrics.insert("server.parse_s".into(), parse);
 }
 
-/// Simulates every matrix point as its own single-load scenario and returns
-/// the points reassembled per matrix spec, in ladder order.
+/// Runs the matrix as `repro` does and times every point; returns the
+/// result for the render and store probes.
 fn probe_engine(
     tracer: &mut Tracer,
     metrics: &mut Metrics,
+    checks: &mut Checks,
     specs: &[ScenarioSpec],
 ) -> MatrixResult {
-    let mut point_specs = Vec::new();
-    let mut items = Vec::new();
-    let mut owners = Vec::new();
-    for (owner, spec) in specs.iter().enumerate() {
-        for (index, load) in spec.loads().into_iter().enumerate() {
-            point_specs.push(spec.clone().with_ladder(vec![load]));
-            items.push(format!("{}#load{index}", spec.id()));
-            owners.push((owner, index));
-        }
-    }
-    let (jobs, wall) = run_jobs(tracer, "run_batch", &point_specs, &items);
-    let busy: f64 = jobs.iter().map(|(_, seconds)| seconds).sum();
-    let workers = pnoc_exec::resolve_worker_limit(point_specs.len()) as f64;
+    let (matrix, times, wall) = run_timed(tracer, checks, specs);
+    let busy: f64 = times.iter().flatten().sum();
+    let points = times.iter().map(Vec::len).sum();
+    let workers = pnoc_exec::resolve_worker_limit(points) as f64;
     metrics.insert("exec.batch_wall_s".into(), wall);
     metrics.insert("exec.job_busy_s".into(), busy);
     metrics.insert("exec.utilization".into(), busy / (wall * workers));
-    metrics.insert("engine.points".into(), jobs.len() as f64);
+    metrics.insert("engine.points".into(), points as f64);
 
     let mut by_arch: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut by_load: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
     let mut cell: BTreeMap<(String, String, usize), f64> = BTreeMap::new();
-    for ((_, seconds), (spec, &(_, index))) in jobs.iter().zip(point_specs.iter().zip(&owners)) {
-        let arch = spec.architecture.clone();
-        by_arch.entry(arch.clone()).or_default().push(*seconds);
-        by_load.entry(index).or_default().push(*seconds);
-        let cell_id = format!("{}/{}", spec.traffic, spec.bandwidth_set.short_name());
-        cell.insert((arch, cell_id, index), *seconds);
+    for (spec, point_times) in specs.iter().zip(&times) {
+        for (index, &seconds) in point_times.iter().enumerate() {
+            let arch = spec.architecture.clone();
+            by_arch.entry(arch.clone()).or_default().push(seconds);
+            by_load.entry(index).or_default().push(seconds);
+            let cell_id = format!("{}/{}", spec.traffic, spec.bandwidth_set.short_name());
+            cell.insert((arch, cell_id, index), seconds);
+        }
     }
     for (arch, times) in &by_arch {
         metrics.insert(format!("engine.point_s.{arch}"), median(times));
@@ -393,37 +462,7 @@ fn probe_engine(
         median(by_arch.get("hier").map_or(&[][..], Vec::as_slice)),
     );
     metrics.insert("hier.overhead_ratio".into(), median(&ratios));
-
-    let mut per_spec: Vec<Vec<(usize, ScenarioResult)>> = vec![Vec::new(); specs.len()];
-    for ((mut result, _), &(owner, index)) in jobs.into_iter().zip(&owners) {
-        per_spec[owner].push((index, result.scenarios.remove(0)));
-    }
-    let scenarios = specs
-        .iter()
-        .zip(per_spec)
-        .map(|(spec, mut parts)| {
-            parts.sort_by_key(|(index, _)| *index);
-            ScenarioResult {
-                spec: spec.clone(),
-                result: SaturationResult {
-                    points: parts
-                        .iter()
-                        .map(|(_, part)| part.result.points[0].clone())
-                        .collect(),
-                },
-                point_seeds: parts.iter().map(|(_, part)| part.point_seeds[0]).collect(),
-                wall_clock_seconds: 0.0,
-            }
-        })
-        .collect::<Vec<_>>();
-    let total = scenarios.iter().map(|s| s.result.points.len()).sum();
-    MatrixResult {
-        scenarios,
-        total_points: total,
-        unique_points: total,
-        wall_clock_seconds: 0.0,
-        cache: CacheStats::default(),
-    }
+    matrix
 }
 
 fn probe_render(tracer: &mut Tracer, metrics: &mut Metrics, matrix: &MatrixResult) {
@@ -535,10 +574,10 @@ fn probe_workloads(
         total
     });
     metrics.insert("workload.resolve_s".into(), resolve);
-    let (jobs, _) = run_jobs(tracer, "run_batch", specs, &labels);
+    let (result, times, _) = run_timed(tracer, checks, specs);
     let (mut cycles, mut busy) = (0.0, 0.0);
-    for ((result, seconds), label) in jobs.iter().zip(&labels) {
-        let point = &result.scenarios[0].result.points[0];
+    for ((scenario, point_times), label) in result.scenarios.iter().zip(&times).zip(&labels) {
+        let (point, seconds) = (&scenario.result.points[0], point_times[0]);
         checks.expect(
             point.metrics.gauge("workload_drained") == Some(1.0),
             &format!("{label} drains"),
@@ -548,22 +587,18 @@ fn probe_workloads(
             .gauge("workload_makespan_cycles")
             .unwrap_or(0.0);
         busy += seconds;
-        metrics.insert(format!("workload.point_s.{label}"), *seconds);
+        metrics.insert(format!("workload.point_s.{label}"), seconds);
     }
     metrics.insert("workload.sim_cycles_per_s".into(), cycles / busy);
 }
 
-/// The workload's own round, in process and traced: what `repro` does for
-/// a batch (parse, run, render), or what the server does for each request of
-/// a serve block. Writes the produced bytes to `out` for the caller to
-/// compare against the program's.
-fn replay(tracer: &mut Tracer, args: &Args, bodies: &[Request]) -> f64 {
-    let store = args
-        .replay_cache
-        .as_ref()
-        .map(|dir| ResultStore::open(dir).expect("replay store opens"));
-    let cache = store.as_ref().map(|s| s as &dyn PointCache);
-    let (bytes, wall) = tracer.span("replay", "perfbench", &args.workload, |tracer| {
+/// The workload's own round, in process: what `repro` does for a batch
+/// (parse, run, render), or what the server does for each request of the
+/// serve blocks, with `cache_dir` as its store. Returns the produced bytes.
+fn replay(tracer: &mut Tracer, args: &Args, bodies: &[Request], cache_dir: &Path) -> Vec<u8> {
+    let store = ResultStore::open(cache_dir).expect("replay store opens");
+    let cache = Some(&store as &dyn PointCache);
+    let (bytes, _) = tracer.span("replay", "perfbench", &args.workload, |tracer| {
         if args.workload == "serve" {
             let mut out = Vec::new();
             for (index, request) in bodies.iter().enumerate() {
@@ -602,8 +637,44 @@ fn replay(tracer: &mut Tracer, args: &Args, bodies: &[Request]) -> f64 {
             text.into_bytes()
         }
     });
-    std::fs::write(&args.replay_out, bytes).expect("replay output writes");
-    wall
+    bytes
+}
+
+/// Replays the round in pairs, once with tracing off and once with spans
+/// recorded, in the order off, on, on, off, repeated: a pass's place in the
+/// sequence changes its time, so neither side may always run first. Each
+/// pass runs on its own copy of the store
+/// (`<replay-caches>/<pass>`, prepared by the caller). Every pass must give
+/// the same bytes; they are written to `--replay-out`. Returns the median
+/// wall time of the traced and of the untraced passes.
+fn replay_pairs(
+    tracer: &mut Tracer,
+    checks: &mut Checks,
+    args: &Args,
+    bodies: &[Request],
+) -> (f64, f64) {
+    let (mut traced, mut untraced) = (Vec::new(), Vec::new());
+    let mut first: Option<Vec<u8>> = None;
+    for pass in 0..2 * args.replay_pairs {
+        let cache_dir = args.replay_caches.join(pass.to_string());
+        let mut off = Tracer::new(&args.workload, false);
+        let tracing = matches!(pass % 4, 1 | 2);
+        let started = Instant::now();
+        let bytes = replay(
+            if tracing { &mut *tracer } else { &mut off },
+            args,
+            bodies,
+            &cache_dir,
+        );
+        let seconds = started.elapsed().as_secs_f64();
+        if tracing { &mut traced } else { &mut untraced }.push(seconds);
+        match &first {
+            None => first = Some(bytes),
+            Some(first) => checks.expect(*first == bytes, "every replay pass gives the same bytes"),
+        }
+    }
+    std::fs::write(&args.replay_out, first.unwrap_or_default()).expect("replay output writes");
+    (median(&traced), median(&untraced))
 }
 
 fn main() {
@@ -612,12 +683,7 @@ fn main() {
         std::process::exit(2);
     });
     ensure_registered();
-    let mut tracer = Tracer {
-        origin: Instant::now(),
-        workload: args.workload.clone(),
-        spans: Vec::new(),
-        open: Vec::new(),
-    };
+    let mut tracer = Tracer::new(&args.workload, true);
     let mut metrics = Metrics::new();
     let mut checks = Checks::default();
     let matrix_specs = specs_of(&args.matrix_doc);
@@ -625,9 +691,9 @@ fn main() {
     let bodies = requests_of(&args.bodies);
 
     probe_exec(&mut tracer, &mut metrics);
-    let replay_wall = replay(&mut tracer, &args, &bodies);
+    let (traced_wall, untraced_wall) = replay_pairs(&mut tracer, &mut checks, &args, &bodies);
     probe_planning(&mut tracer, &mut metrics, &matrix_specs, &bodies);
-    let matrix = probe_engine(&mut tracer, &mut metrics, &matrix_specs);
+    let matrix = probe_engine(&mut tracer, &mut metrics, &mut checks, &matrix_specs);
     probe_render(&mut tracer, &mut metrics, &matrix);
     let load_samples = probe_store(
         &mut tracer,
@@ -648,9 +714,10 @@ fn main() {
     }
     write!(
         line,
-        "}},\"samples\":{{\"store.load_s\":{load_samples}}},\"replay_wall_s\":{replay_wall:e},\
+        "}},\"samples\":{{\"store.load_s\":{load_samples},\"trace.wall_s\":{}}},\
+         \"replay_wall_s\":{traced_wall:e},\"untraced_replay_wall_s\":{untraced_wall:e},\
          \"attempted\":{},\"failed\":{}}}",
-        checks.attempted, checks.failed
+        args.replay_pairs, checks.attempted, checks.failed
     )
     .expect("writing to a String cannot fail");
     println!("{line}");

@@ -33,11 +33,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH = os.path.join(ROOT, "perfbench")
 OUT_DIR = os.path.join(ROOT, ".perfbench_out")
-WORKLOADS = ("matrix-cold", "matrix-warm", "serve", "collectives")
+WORKLOADS = ("matrix-cold", "matrix-warm", "serve")
 
-# Seed 0 reproduces the program's own default quick matrix and collectives
-# (their scenario seed is the program default), so their outputs can be
-# compared against digests recorded from this benchmark's first commit.
+# Seed 0 reproduces the program's own default quick matrix (its scenario
+# seed is the program default), so its outputs can be compared against
+# digests recorded from this benchmark's first commit.
 DEFAULT_SEED = 0
 PROGRAM_SCENARIO_SEED = 538202316
 
@@ -49,6 +49,7 @@ SETS = ("set1", "set2", "set3")
 # The quick ladder of each bandwidth set is unit × (1, 2, 3); the values are
 # exact binary fractions, so they survive the JSON round trip bit for bit.
 LOAD_UNIT = {"set1": 0.001220703125, "set2": 0.0048828125, "set3": 0.009765625}
+# The collectives the traced run's layer probe drains (`pnoc-workload`).
 COLLECTIVES = (
     ("d-hetpnoc", {}, "allreduce:64"),
     ("d-hetpnoc", {}, "shuffle:16"),
@@ -61,8 +62,10 @@ COLLECTIVES = (
 SETUPS = 3
 SETUP_SECONDS = 1.0
 MAX_SETUPS = 30
-CLIENTS = 2  # closed-loop serve clients (never more than the host's cores)
-TRACED_ROUNDS = 3  # serve rounds in a traced run: 144 samples a class
+# Closed-loop serve clients: 2, but never more than the host's cores.
+CLIENTS = min(2, len(os.sched_getaffinity(0)))
+TRACED_ROUNDS = 6 // CLIENTS  # serve rounds in a traced run: 144 samples a class
+REPLAY_PAIRS = 4  # untraced and traced in-process replays in a traced run
 
 LAYERS = ("pnoc-exec", "pnoc-sim", "pnoc-hier", "pnoc-workload", "pnoc-store",
           "pnoc-bench", "perfbench")
@@ -141,6 +144,7 @@ def host_facts():
         "commit": text(["git", "rev-parse", "HEAD"]),
         "source_sha256": sources.hexdigest()[:16],
         "build": "release",
+        "serve_clients": CLIENTS,
     }
 
 
@@ -186,7 +190,12 @@ def point_spec(cell, seed):
 class ServePlan:
     """The seeded request mix: hits and revalidations of a pre-filled pool
     of one-point scenarios, and misses whose seeds are never stored. The
-    seed sets the scenario seeds and the request order, not the mix."""
+    seed sets the scenario seeds and the request order, not the mix.
+
+    The 1:1:1 mix of hits, misses and revalidations is an assumption: no
+    measured usage of the server sets it. Every run records each class's
+    share of the request time (`class_shares`), which says what serve's
+    end-to-end metrics weigh."""
 
     def __init__(self, seed):
         base = scenario_seed(seed)
@@ -274,8 +283,8 @@ def write_text(path, text):
 # ------------------------------------------------------- batch workloads --
 
 class BatchWorkload:
-    """matrix-cold, matrix-warm and collectives: each round is one `repro`
-    batch invocation over the workload's scenario document."""
+    """matrix-cold and matrix-warm: each round is one `repro` batch
+    invocation over the quick matrix's scenario document."""
 
     def __init__(self, name, seed, program, work, failures):
         self.name = name
@@ -283,81 +292,62 @@ class BatchWorkload:
         self.program = program
         self.work = work
         self.failures = failures
-        specs = collective_specs(seed) if name == "collectives" else matrix_specs(seed)
+        specs = matrix_specs(seed)
         self.doc = os.path.join(work, "scenarios.json")
-        self.points = len(specs) * (1 if name == "collectives" else 3)
+        self.points = len(specs) * 3
         self.reference = None  # batch JSON text every round must reproduce
         self.cache = None
         self.rounds = 0
         write_text(self.doc, document(specs))
 
     def args(self, out, cache):
-        args = ["--quick", "--from-scenarios", self.doc, "--batch-json", out]
-        if cache:
-            args += ["--cache-dir", cache]
-        if self.name == "collectives":
-            args += ["--metrics", out + ".jsonl"]
-        return args
+        return ["--quick", "--from-scenarios", self.doc, "--batch-json", out,
+                "--cache-dir", cache]
 
     def setup(self, index):
         """One reference round, whose output every measured round must
         reproduce. For matrix-warm it is the cold run that fills the cache
         the rounds read; matrix-cold gives it an empty cache of its own."""
-        cache = None
-        if self.name != "collectives":
-            cache = os.path.join(self.work, f"cache-setup{index}")
+        cache = os.path.join(self.work, f"cache-setup{index}")
         out = os.path.join(self.work, "reference.json")
         self.program.run(self.args(out, cache), self.failures, "reference round")
         self.check_output(read_text(out), "reference round")
-        self.check_drained(out)
         if self.name == "matrix-warm":
             if self.cache:
                 shutil.rmtree(self.cache, ignore_errors=True)
             self.cache = cache
-        elif cache:
+        else:
             shutil.rmtree(cache, ignore_errors=True)
 
     def round(self):
         self.rounds += 1
         out = os.path.join(self.work, "round.json")
-        cache = None
+        cache = self.cache
         if self.name == "matrix-cold":
             cache = os.path.join(self.work, f"cache-cold{self.rounds}")
-        elif self.name == "matrix-warm":
-            cache = self.cache
         elapsed = self.program.run(self.args(out, cache), self.failures, f"round {self.rounds}")
         self.check_output(read_text(out), f"round {self.rounds}")
-        self.check_drained(out)
-        if cache and self.name == "matrix-cold":
+        if self.name == "matrix-cold":
             shutil.rmtree(cache, ignore_errors=True)
         return elapsed, self.points
-
-    def check_drained(self, out):
-        if self.name == "collectives":
-            for line in read_text(out + ".jsonl").splitlines():
-                row = json.loads(line)
-                self.failures.check(row["metrics"].get("workload_drained") == 1,
-                                    f"{row['scenario']} drained")
 
     def check_output(self, text, what):
         if self.reference is None:
             self.reference = text
             if self.seed == DEFAULT_SEED:
-                key = "collectives" if self.name == "collectives" else "matrix"
                 got = scenarios_digest(text)
-                want = expected_digests()[key]
+                want = expected_digests()["matrix"]
                 self.failures.check(got == want,
-                                    f"{what}: {key} digest {got} != recorded {want}")
+                                    f"{what}: matrix digest {got} != recorded {want}")
         else:
             self.failures.check(text == self.reference,
                                 f"{what}: output bytes differ from the first run's")
 
     def replay_inputs(self):
-        """Arguments for the traced in-process replay of one round."""
-        cache = self.cache if self.name == "matrix-warm" else None
-        if self.name == "matrix-cold":
-            cache = os.path.join(self.work, "cache-replay")
-        return self.doc, cache
+        """The traced run's in-process replay of one round: its scenario
+        document and the store every replay pass starts from (none: an
+        empty one)."""
+        return self.doc, self.cache
 
     def check_replay(self, text):
         self.failures.check(text == self.reference,
@@ -569,10 +559,19 @@ class ServeWorkload:
             self.failures.check(got == expected[index:index + 1],
                                 "miss rows equal the batch path's")
 
-    def replay_bodies(self, rng):
+    def replay_bodies(self, seed):
+        """One round's requests (a block per client) for the in-process
+        replay."""
         return [{"class": cls,
                  "body": document([miss if cls == "miss" else self.plan.hits[pool]])}
-                for cls, pool, miss in self.plan.block(rng)]
+                for client in range(CLIENTS)
+                for cls, pool, miss in self.plan.block(random.Random(f"replay/{seed}/{client}"))]
+
+
+def class_shares(samples):
+    """Each request class's share of the summed request latency."""
+    total = sum(sum(values) for values in samples.values())
+    return {cls: sum(values) / total for cls, values in samples.items()}
 
 
 # ------------------------------------------------------------ reporting --
@@ -585,25 +584,38 @@ def quantile(values, q):
 
 
 def self_times(spans):
-    """Each layer's self time: span durations minus the union of the
-    intervals their child spans cover."""
+    """Each layer's self time. A pool job's is its busy time. Any other
+    span's is its duration minus the time its children cover: the union of
+    their intervals, plus, for a batch span, the least time its jobs can
+    have covered (its longest job, or its jobs' busy time spread over its
+    workers, whichever is more)."""
     children = {}
     for span in spans:
         children.setdefault(span["parent"], []).append(span)
     totals = {layer: 0.0 for layer in LAYERS}
     for span in spans:
+        if "busy" in span:
+            totals[span["layer"]] += span["busy"]
+            continue
+        kids = children.get(span["id"], [])
         covered, last = 0.0, span["start"]
-        for child in sorted(children.get(span["id"], []), key=lambda c: c["start"]):
+        for child in sorted((c for c in kids if "busy" not in c), key=lambda c: c["start"]):
             start, end = max(child["start"], last), min(child["end"], span["end"])
             if end > start:
                 covered += end - start
                 last = end
-        totals[span["layer"]] = totals.get(span["layer"], 0.0) + (
-            span["end"] - span["start"] - covered)
+        busy = [child["busy"] for child in kids if "busy" in child]
+        jobs = max(max(busy, default=0.0), sum(busy) / span.get("workers", 1))
+        duration = span["end"] - span["start"]
+        covered = min(duration, covered + jobs)
+        totals[span["layer"]] += duration - covered
     return totals
 
 
-def finish(workload, seed, trace, failures, metrics, samples, facts):
+def finish(workload, seed, trace, failures, metrics, notes, facts):
+    """Prints the record line (host facts, and `notes`: the sample count
+    behind each median and percentile, and serve's class shares) and the
+    result line."""
     table = "per_layer" if trace else "end_to_end"
     units = {entry["name"]: entry["unit"]
              for entry in json.loads(read_text(os.path.join(ROOT, "BENCHMARK.json")))[table]}
@@ -617,8 +629,7 @@ def finish(workload, seed, trace, failures, metrics, samples, facts):
         "metrics": {name: {"value": value, "unit": units[name]}
                     for name, value in metrics.items()},
     }
-    record = {"workload": workload, "seed": seed, "trace": trace, "host": facts,
-              "samples": samples}
+    record = dict({"workload": workload, "seed": seed, "trace": trace, "host": facts}, **notes)
     os.makedirs(OUT_DIR, exist_ok=True)
     write_text(os.path.join(OUT_DIR, f"result-{workload}-seed{seed}-trace{trace}.json"),
                json.dumps(dict(record, result=result), indent=1))
@@ -649,15 +660,15 @@ def run(args):
             setups.append(time.perf_counter() - started)
         program.peak_kb = 0
         if args.trace:
-            metrics, samples = traced(args, load, program, layers, work, failures)
+            metrics, notes = traced(args, load, program, layers, work, failures)
         else:
-            metrics, samples = untraced(args, load, program)
+            metrics, notes = untraced(args, load, program)
             metrics["setup_s"] = statistics.median(setups)
-            samples["setup_s"] = len(setups)
+            notes["samples"]["setup_s"] = len(setups)
     finally:
         load.stop()
     shutil.rmtree(work, ignore_errors=True)
-    finish(args.workload, args.seed, args.trace, failures, metrics, samples, facts)
+    finish(args.workload, args.seed, args.trace, failures, metrics, notes, facts)
 
 
 def measure_rounds(load, seconds):
@@ -676,23 +687,26 @@ def untraced(args, load, program):
     times, done = measure_rounds(load, args.seconds)
     metrics = {"wall_s": statistics.median(times), "requests_per_s": done / sum(times),
                "peak_rss_mb": program.peak_kb / 1024}
+    notes = {"samples": {"wall_s": len(times)}}
     if isinstance(load, ServeWorkload):
         load.verify_misses()  # a batch run of its own, after the peak is read
-    return metrics, {"wall_s": len(times)}
+        notes["serve_time_share"] = class_shares(load.samples)
+    return metrics, notes
 
 
 def traced(args, workload, program, layers, work, failures):
     """Per-layer metrics: a serve probe against the real server (client-side
-    latencies per request class and the server's counters), one untraced
-    round of the workload, then the in-process probe of every layer with
-    its traced replay of the same round."""
+    latencies per request class and the server's counters), then the
+    in-process probe of every layer, which also replays the workload's
+    round with tracing off and on."""
     metrics, samples = {}, {}
     serve = workload if isinstance(workload, ServeWorkload) else ServeWorkload(
         args.seed, program, work, failures)
     try:
         if serve is not workload:
             serve.setup(0)
-        serve_times = [serve.round()[0] for _ in range(TRACED_ROUNDS)]
+        for _ in range(TRACED_ROUNDS):
+            serve.round()
     finally:
         serve.stop()
     serve.verify_misses()
@@ -700,20 +714,24 @@ def traced(args, workload, program, layers, work, failures):
         metrics[f"run_{cls}_s_p50"] = quantile(values, 0.5)
         metrics[f"run_{cls}_s_p90"] = quantile(values, 0.9)
         samples[f"run_{cls}_s"] = len(values)
+    for cls, share in class_shares(serve.samples).items():
+        metrics[f"serve.time_share.{cls}"] = share
     metrics["server.ttfb_s"] = quantile(serve.ttfb, 0.5)
     samples["server.ttfb_s"] = len(serve.ttfb)
     for name, value in serve.stats.items():
         metrics[f"server.{name}"] = value
 
-    bodies = serve.replay_bodies(random.Random(f"replay/{args.seed}"))
+    # Every replay pass starts from its own copy of the same store.
+    bodies = serve.replay_bodies(args.seed)
     if workload is serve:
-        untraced_wall = statistics.median(serve_times)
-        replay_doc = os.path.join(work, "hits.json")
-        replay_cache = os.path.join(work, "cache-replay")
-        shutil.copytree(serve.pristine, replay_cache)
+        replay_doc, replay_source = os.path.join(work, "hits.json"), serve.pristine
     else:
-        untraced_wall, _ = workload.round()
-        replay_doc, replay_cache = workload.replay_inputs()
+        replay_doc, replay_source = workload.replay_inputs()
+    replay_caches = os.path.join(work, "replay-caches")
+    os.makedirs(replay_caches)
+    if replay_source:
+        for index in range(2 * REPLAY_PAIRS):
+            shutil.copytree(replay_source, os.path.join(replay_caches, str(index)))
     bodies_path = os.path.join(work, "bodies.json")
     write_text(bodies_path, json.dumps(bodies))
     matrix_doc = os.path.join(work, "matrix.json")
@@ -725,10 +743,9 @@ def traced(args, workload, program, layers, work, failures):
     replay_out = os.path.join(work, "replay.out")
     command = [layers, "--workload", args.workload, "--matrix-doc", matrix_doc,
                "--collectives-doc", collectives_doc, "--bodies", bodies_path,
-               "--replay-doc", replay_doc, "--replay-out", replay_out,
+               "--replay-doc", replay_doc, "--replay-caches", replay_caches,
+               "--replay-pairs", str(REPLAY_PAIRS), "--replay-out", replay_out,
                "--work", work, "--spans", spans_path]
-    if replay_cache:
-        command += ["--replay-cache", replay_cache]
     done = subprocess.run(command, cwd=work, stdout=subprocess.PIPE, text=True)
     if not failures.check(done.returncode == 0, f"layer probe exited {done.returncode}"):
         raise RuntimeError("layer probe failed")
@@ -742,23 +759,23 @@ def traced(args, workload, program, layers, work, failures):
     if workload is serve:
         rows = replayed.splitlines()
         served = [b for b in bodies if b["class"] != "304"]
-        failures.check(len(rows) == len(served), "traced replay answers every request")
+        failures.check(len(rows) == len(served), "replay answers every request")
         for body, row in zip(served, rows):
             if body["class"] == "hit":
                 index = serve.plan.hits.index(json.loads(body["body"])["scenarios"][0])
                 failures.check(row == serve.reference_rows[index],
-                               "traced replay hit rows equal the batch path's")
+                               "replay hit rows equal the batch path's")
     else:
         workload.check_replay(replayed)
 
     metrics["trace.wall_s"] = probe["replay_wall_s"]
-    metrics["trace.overhead_s"] = probe["replay_wall_s"] - untraced_wall
+    metrics["trace.overhead_s"] = probe["replay_wall_s"] - probe["untraced_replay_wall_s"]
     with open(spans_path) as handle:
         spans = [json.loads(line) for line in handle]
     for layer, seconds in self_times(spans).items():
         metrics[f"self_s.{layer}"] = seconds
     metrics["failed_share"] = failures.failed / max(failures.attempted, 1)
-    return metrics, samples
+    return metrics, {"samples": samples}
 
 
 def main():
